@@ -141,7 +141,7 @@ func BenchmarkTable1LocalVsGlobal(b *testing.B) {
 			b.ReportMetric(float64(in.TableBytes())/float64(in.NumStates()), "table-B/state")
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if !in.CheckStrongConvergenceSeq().Converges {
+				if !in.CheckStrongConvergence().Converges {
 					b.Fatal("unexpected verdict")
 				}
 			}

@@ -186,7 +186,7 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 		}
 		r := Measure(cfg.Benchtime, func(n int) {
 			for i := 0; i < n; i++ {
-				if !seq.CheckStrongConvergenceSeq().Converges {
+				if !seq.CheckStrongConvergence().Converges {
 					panic("unexpected verdict")
 				}
 			}
@@ -267,7 +267,7 @@ func VerifySuite(cfg Config) (*Snapshot, error) {
 		{"decode", func() { scanSink += scan.DecodeSweep() }},
 		{"successors", func() { scanSink += scan.SuccessorSweep() }},
 		{"fullcheck", func() {
-			if !scan.CheckStrongConvergenceSeq().Converges {
+			if !scan.CheckStrongConvergence().Converges {
 				panic("unexpected verdict")
 			}
 		}},

@@ -570,7 +570,7 @@ func tableCost() Experiment {
 					return Outcome{}, err
 				}
 				g0 := time.Now()
-				rep := seqIn.CheckStrongConvergenceSeq()
+				rep := seqIn.CheckStrongConvergence()
 				gTime := time.Since(g0)
 				if !rep.Converges {
 					return Outcome{}, fmt.Errorf("unexpected non-convergence at K=%d", k)

@@ -71,12 +71,12 @@ func WithMaxStates(n uint64) Option {
 // its whole-state-space operations (CheckStrongConvergence, Deadlocks,
 // CheckWeakConvergence, RecoveryRadius, CheckClosure and instance
 // construction). n <= 0 selects runtime.GOMAXPROCS(0), which is also the
-// default; n == 1 forces the sequential reference path. Parallel and
-// sequential paths return identical results (same verdicts, same
-// witnesses), so the choice is purely a time/space trade-off: the global
-// side of the paper's Table 1 is domain^K work that the local method
-// avoids entirely, and the workers only shrink the constant, never the
-// exponent.
+// default. Each pass splits its range into n chunks and runs one per
+// goroutine; n == 1 runs the single chunk inline on the calling goroutine.
+// Results are identical for every n (same verdicts, same witnesses), so
+// the choice is purely a time/space trade-off: the global side of the
+// paper's Table 1 is domain^K work that the local method avoids entirely,
+// and the workers only shrink the constant, never the exponent.
 //
 // With n > 1 the protocol's Guard/Next closures and any WithGlobalPredicate
 // function are invoked from multiple goroutines concurrently; they must be
@@ -223,10 +223,7 @@ func NewInstanceCtx(ctx context.Context, p *core.Protocol, k int, opts ...Option
 	// word-aligned (see chunkFor), so the plain word writes of Set never
 	// race across workers.
 	in.inI = newBitset(in.n)
-	in.forEachChunk(func(lo, hi uint64) {
-		if lo >= hi {
-			return
-		}
+	in.forEachChunk(in.n, func(_ int, lo, hi uint64) {
 		sc := in.newScratch()
 		sc.od.reset(lo)
 		for id := lo; id < hi; id++ {

@@ -33,12 +33,66 @@ func sameWitness(a, b *uint64) bool {
 	return a == nil || *a == *b
 }
 
+// assertSameResults checks that got, an instance of the same protocol and
+// ring size as ref but with another worker count, returns identical
+// verdicts AND identical witnesses on every whole-space pass: I(K),
+// strong convergence, Deadlocks, IllegitimateDeadlocks and the closure
+// witness, plus weak convergence and the recovery radius when bfs is set.
+func assertSameResults(t *testing.T, ref, got *Instance, bfs bool) {
+	t.Helper()
+	w := got.Workers()
+	if !reflect.DeepEqual(ref.inI, got.inI) {
+		t.Fatalf("workers=%d: I(K) evaluation differs", w)
+	}
+	rrep := ref.CheckStrongConvergence()
+	grep := got.CheckStrongConvergence()
+	if rrep.Converges != grep.Converges {
+		t.Fatalf("workers=%d: Converges = %v, want %v", w, grep.Converges, rrep.Converges)
+	}
+	if !sameWitness(rrep.DeadlockWitness, grep.DeadlockWitness) {
+		t.Fatalf("workers=%d: DeadlockWitness = %v, want %v", w, grep.DeadlockWitness, rrep.DeadlockWitness)
+	}
+	if !reflect.DeepEqual(rrep.LivelockWitness, grep.LivelockWitness) {
+		t.Fatalf("workers=%d: LivelockWitness = %v, want %v", w, grep.LivelockWitness, rrep.LivelockWitness)
+	}
+	if grep.LivelockWitness != nil && !got.IsLivelock(grep.LivelockWitness) {
+		t.Fatalf("workers=%d: livelock witness does not validate", w)
+	}
+	if grep.StatesExplored != ref.NumStates() {
+		t.Fatalf("workers=%d: StatesExplored = %d, want %d", w, grep.StatesExplored, ref.NumStates())
+	}
+	if !reflect.DeepEqual(ref.Deadlocks(), got.Deadlocks()) {
+		t.Fatalf("workers=%d: Deadlocks differ", w)
+	}
+	if !reflect.DeepEqual(ref.IllegitimateDeadlocks(), got.IllegitimateDeadlocks()) {
+		t.Fatalf("workers=%d: IllegitimateDeadlocks differ", w)
+	}
+	if rv, gv := ref.CheckClosure(), got.CheckClosure(); !reflect.DeepEqual(rv, gv) {
+		t.Fatalf("workers=%d: CheckClosure = %v, want %v", w, gv, rv)
+	}
+	if !bfs {
+		return
+	}
+	rok, rstuck := ref.CheckWeakConvergence()
+	gok, gstuck := got.CheckWeakConvergence()
+	if rok != gok || !reflect.DeepEqual(rstuck, gstuck) {
+		t.Fatalf("workers=%d: CheckWeakConvergence = (%v, %d states), want (%v, %d states)",
+			w, gok, len(gstuck), rok, len(rstuck))
+	}
+	rmax, rmean, rall := ref.RecoveryRadius()
+	gmax, gmean, gall := got.RecoveryRadius()
+	if rmax != gmax || rmean != gmean || rall != gall {
+		t.Fatalf("workers=%d: RecoveryRadius = (%d, %f, %v), want (%d, %f, %v)",
+			w, gmax, gmean, gall, rmax, rmean, rall)
+	}
+}
+
 // TestParallelMatchesSequential is the engine's contract: for every zoo
-// protocol and K in 4..10, the parallel checker and the sequential
-// reference return identical verdicts AND identical witnesses — deadlocks,
-// livelock cycles, weak convergence, recovery radii, closure. Run under
-// -race in CI (with -cpu variations) this doubles as the concurrency
-// soundness suite.
+// protocol and K in 4..10, the chunked passes return identical verdicts
+// AND identical witnesses at one worker (a single inline chunk) and at
+// four — deadlocks, livelock cycles, weak convergence, recovery radii,
+// closure. Run under -race in CI (with -cpu variations) this doubles as
+// the concurrency soundness suite.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, name := range zooNames() {
 		p := protocols.All()[name]
@@ -52,83 +106,39 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("%s K=%d: %v", name, k, err)
 			}
 			t.Run(fmt.Sprintf("%s/K=%d", name, k), func(t *testing.T) {
-				if !reflect.DeepEqual(seq.inI, par.inI) {
-					t.Fatal("parallel I(K) evaluation differs from sequential")
-				}
-
-				srep := seq.CheckStrongConvergenceSeq()
-				prep := par.CheckStrongConvergence()
-				if srep.Converges != prep.Converges {
-					t.Fatalf("Converges: seq=%v par=%v", srep.Converges, prep.Converges)
-				}
-				if !sameWitness(srep.DeadlockWitness, prep.DeadlockWitness) {
-					t.Fatalf("DeadlockWitness: seq=%v par=%v", srep.DeadlockWitness, prep.DeadlockWitness)
-				}
-				if !reflect.DeepEqual(srep.LivelockWitness, prep.LivelockWitness) {
-					t.Fatalf("LivelockWitness: seq=%v par=%v", srep.LivelockWitness, prep.LivelockWitness)
-				}
-				if prep.LivelockWitness != nil && !par.IsLivelock(prep.LivelockWitness) {
-					t.Fatal("parallel livelock witness does not validate")
-				}
-				if prep.StatesExplored != seq.NumStates() {
-					t.Fatalf("StatesExplored = %d, want %d", prep.StatesExplored, seq.NumStates())
-				}
-
-				if !reflect.DeepEqual(seq.Deadlocks(), par.Deadlocks()) {
-					t.Fatal("Deadlocks differ")
-				}
-				if !reflect.DeepEqual(seq.IllegitimateDeadlocks(), par.IllegitimateDeadlocks()) {
-					t.Fatal("IllegitimateDeadlocks differ")
-				}
-				if sv, pv := seq.CheckClosure(), par.CheckClosure(); !reflect.DeepEqual(sv, pv) {
-					t.Fatalf("CheckClosure: seq=%v par=%v", sv, pv)
-				}
-
 				// The backward-BFS surfaces are the heavy part; bound them.
-				if seq.NumStates() <= 1<<13 {
-					sok, sstuck := seq.CheckWeakConvergence()
-					pok, pstuck := par.CheckWeakConvergence()
-					if sok != pok || !reflect.DeepEqual(sstuck, pstuck) {
-						t.Fatalf("CheckWeakConvergence: seq=(%v,%d states) par=(%v,%d states)",
-							sok, len(sstuck), pok, len(pstuck))
-					}
-					smax, smean, sall := seq.RecoveryRadius()
-					pmax, pmean, pall := par.RecoveryRadius()
-					if smax != pmax || smean != pmean || sall != pall {
-						t.Fatalf("RecoveryRadius: seq=(%d,%f,%v) par=(%d,%f,%v)",
-							smax, smean, sall, pmax, pmean, pall)
-					}
-				}
+				assertSameResults(t, seq, par, seq.NumStates() <= 1<<13)
 			})
 		}
 	}
 }
 
-// TestParallelWorkerCountsAgree varies the worker count (including an odd
-// one and more workers than meaningful chunks) on a protocol with real
-// livelocks, pinning down that chunk-boundary arithmetic never changes the
-// answer.
+// TestParallelWorkerCountsAgree varies the worker count (including odd
+// ones and more workers than meaningful chunks) on a protocol with real
+// livelocks and on one whose I is not closed, pinning down that
+// chunk-boundary arithmetic never changes any answer.
 func TestParallelWorkerCountsAgree(t *testing.T) {
-	p := protocols.GoudaAcharya()
-	for _, k := range []int{5, 6, 7} {
-		ref := mustInstance(t, p, k, WithWorkers(1)).CheckStrongConvergenceSeq()
-		for _, w := range []int{2, 3, 4, 8, 64} {
-			got := mustInstance(t, p, k, WithWorkers(w)).CheckStrongConvergence()
-			if got.Converges != ref.Converges ||
-				!sameWitness(got.DeadlockWitness, ref.DeadlockWitness) ||
-				!reflect.DeepEqual(got.LivelockWitness, ref.LivelockWitness) {
-				t.Fatalf("K=%d workers=%d: report diverged from sequential", k, w)
+	for _, tc := range []struct {
+		p  *core.Protocol
+		ks []int
+	}{
+		{protocols.GoudaAcharya(), []int{5, 6, 7}},
+		{leakyProtocol(), []int{4, 7}},
+	} {
+		for _, k := range tc.ks {
+			ref := mustInstance(t, tc.p, k, WithWorkers(1))
+			for _, w := range []int{2, 3, 4, 5, 8, 64} {
+				assertSameResults(t, ref, mustInstance(t, tc.p, k, WithWorkers(w)), true)
 			}
 		}
 	}
 }
 
-// TestParallelClosureViolation checks seq/par witness identity on a
-// protocol whose I is NOT closed (an action that jumps out of I), since the
-// zoo protocols are all closed and would leave checkClosureParallel's
+// leakyProtocol is a fixture whose I is NOT closed (an action jumps out of
+// I); the zoo protocols are all closed and would leave CheckClosure's
 // witness path untested.
-func TestParallelClosureViolation(t *testing.T) {
-	p := core.MustNew(core.Config{
+func leakyProtocol() *core.Protocol {
+	return core.MustNew(core.Config{
 		Name:   "leaky",
 		Domain: 2,
 		Lo:     -1, Hi: 0,
@@ -139,6 +149,12 @@ func TestParallelClosureViolation(t *testing.T) {
 		}},
 		Legit: func(v core.View) bool { return v[1] == 0 },
 	})
+}
+
+// TestParallelClosureViolation checks the closure witness on the leaky
+// fixture is found, and found identically at one and four workers.
+func TestParallelClosureViolation(t *testing.T) {
+	p := leakyProtocol()
 	for _, k := range []int{4, 7} {
 		sv := mustInstance(t, p, k, WithWorkers(1)).CheckClosure()
 		pv := mustInstance(t, p, k, WithWorkers(4)).CheckClosure()
