@@ -218,15 +218,19 @@ func instanceStates(base *core.Protocol, k int) uint64 {
 // resident table bytes across all checked instances. Workers claim indices
 // in order from a shared counter and stop once no unclaimed index can beat
 // the best winner so far; the minimum over winners makes the outcome
-// independent of scheduling. Candidate instances run their own checks
-// sequentially (WithWorkers(1)) — the parallelism here is across
-// candidates, not within one.
+// independent of scheduling. With one worker this claims the indices in
+// order and stops at the first winner or error. Candidate instances run
+// their own checks sequentially (WithWorkers(1)) — the parallelism here is
+// across candidates, not within one.
 func evalCandidates(ctx context.Context, base *core.Protocol, k int, cands [][]core.LocalTransition, workers int) (int, uint64, error) {
 	if len(cands) == 0 {
 		return -1, 0, nil
 	}
 	var peak atomic.Uint64
 	check := func(i int) (bool, error) {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
 		cand, err := applyTable(base, cands[i])
 		if err != nil {
 			return false, err
@@ -246,21 +250,6 @@ func evalCandidates(ctx context.Context, base *core.Protocol, k int, cands [][]c
 			return false, err
 		}
 		return rep.Converges, nil
-	}
-	if workers <= 1 {
-		for i := range cands {
-			if err := ctx.Err(); err != nil {
-				return -1, peak.Load(), err
-			}
-			ok, err := check(i)
-			if err != nil {
-				return -1, peak.Load(), err
-			}
-			if ok {
-				return i, peak.Load(), nil
-			}
-		}
-		return -1, peak.Load(), nil
 	}
 	var (
 		next    atomic.Int64

@@ -47,12 +47,14 @@
 //     graph, so transitions whose write edge leaves every strongly connected
 //     component are removed (iterated to a fixpoint) and only the recurrent
 //     remainder must decrease phi. Feasibility is decided by an exact
-//     rational phase-1 simplex (math/big, Bland's rule) so the certificate
-//     is deterministic and never subject to floating-point doubt. Ring
-//     sizes 2 <= K < w, where a window wraps onto itself and the
-//     parameterized argument does not apply, are closed out by an exhaustive
-//     micro-check of the d^K global states (at most d^(w-1) of them, i.e.
-//     never larger than the LP's own context enumeration).
+//     phase-1 simplex (fraction-free int64 pivoting, Dantzig's rule then
+//     Bland's) so the certificate is deterministic and never subject to
+//     floating-point doubt; an LP whose tableau could overflow int64 ends
+//     Unknown, never rounded. Ring sizes 2 <= K < w, where a window wraps
+//     onto itself and the parameterized argument does not apply, are
+//     closed out by an exhaustive micro-check of the d^K global states (at
+//     most d^(w-1) of them, i.e. never larger than the LP's own context
+//     enumeration).
 //
 // A closure certificate rides along: if in every context the legitimacy of
 // the actor and of every affected neighbor is preserved by every local
@@ -107,11 +109,12 @@ func (v Verdict) String() string {
 // verify surfaces as a skipped lane) instead of an unbounded computation.
 type Options struct {
 	// MaxLocalStates caps the local state space the lane will analyze
-	// (default 1<<14). The LP tableau is dense in the number of referenced
-	// local states, so this is the lane's memory guard.
+	// (default 1<<14). It bounds the LP's variable count, but not its
+	// memory: the tableau is rows x (variables + rows) cells, and the
+	// package's fixed cell cap (maxTableauCells) is the memory guard.
 	MaxLocalStates int
 	// MaxConstraints caps the deduplicated LP constraint count
-	// (default 1<<16).
+	// (default 1<<16); row generation stops as soon as it is passed.
 	MaxConstraints int
 	// MaxPivots caps the simplex pivot count (default 20000).
 	MaxPivots int

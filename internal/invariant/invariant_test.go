@@ -228,6 +228,9 @@ func TestGuards(t *testing.T) {
 	if rep.Livelock != Unknown {
 		t.Errorf("livelock = %v with starved constraint budget, want Unknown", rep.Livelock)
 	}
+	if rep.Constraints != 5 {
+		t.Errorf("row generation built %d rows past a limit of 4, want it to stop at 5", rep.Constraints)
+	}
 	rep, err = Analyze(context.Background(), p, Options{MaxPivots: 3})
 	if err != nil {
 		t.Fatalf("MaxPivots should degrade to Unknown, got error %v", err)

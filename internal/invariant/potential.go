@@ -2,8 +2,10 @@ package invariant
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"paramring/internal/core"
 )
@@ -38,22 +40,30 @@ func (a *analysis) termination(ctx context.Context) (*TerminationCertificate, Ve
 		}
 	}
 
-	rows, vars, states, err := a.potentialRows(ctx, rec)
+	rows, vars, states, err := a.potentialRows(ctx, rec, a.opts.MaxConstraints)
 	if err != nil {
 		return nil, Unknown, nil, stats, err
 	}
 	stats.constraints = len(rows)
 	if len(rows) > a.opts.MaxConstraints {
 		return nil, Unknown, []string{fmt.Sprintf(
-			"termination: %d LP constraints exceed the lane limit %d", len(rows), a.opts.MaxConstraints,
+			"termination: LP constraints exceed the lane limit %d", a.opts.MaxConstraints,
+		)}, stats, nil
+	}
+	if tableauCells(len(rows), vars) > maxTableauCells {
+		return nil, Unknown, []string{fmt.Sprintf(
+			"termination: LP tableau of %d rows x %d columns exceeds the cell limit %d",
+			len(rows), vars+len(rows), maxTableauCells,
 		)}, stats, nil
 	}
 	sol, feasible, pivots, err := solveStrict(ctx, rows, vars, a.opts.MaxPivots)
 	stats.pivots = pivots
-	if err != nil {
-		if err == errPivotLimit {
-			return nil, Unknown, []string{"termination: simplex pivot limit exceeded"}, stats, nil
-		}
+	switch {
+	case err == errPivotLimit:
+		return nil, Unknown, []string{"termination: simplex pivot limit exceeded"}, stats, nil
+	case err == errLPOverflow:
+		return nil, Unknown, []string{"termination: simplex tableau entry overflows int64"}, stats, nil
+	case err != nil:
 		return nil, Unknown, nil, stats, err
 	}
 	if !feasible {
@@ -132,6 +142,22 @@ func valueReach(sys *core.System, arcs []core.LocalTransition, d int) [][]bool {
 	return reach
 }
 
+// maxTableauCells caps the simplex tableau at rows x (variables + rows)
+// cells: the LP's memory guard, checked while rows are generated, before
+// the tableau is allocated. The largest LP of the zoo (matchingA) has about
+// 29k cells; window-5 sweep specs over domain 3 have 7M and more.
+const maxTableauCells = 1 << 22
+
+// tableauCells is the size of the simplex tableau for m rows over n
+// variables.
+func tableauCells(m, n int) int { return m * (n + m) }
+
+// lpTerm is one non-zero coefficient of a constraint row.
+type lpTerm struct {
+	id   int
+	coef int64
+}
+
 // potentialRows builds the LP constraint rows: one per (recurrent
 // transition, context), over a compact variable space covering only the
 // local states some row references. Each row demands
@@ -140,9 +166,13 @@ func valueReach(sys *core.System, arcs []core.LocalTransition, d int) [][]bool {
 //
 // where the coefficients are the net change, across the actor and all w-1
 // affected neighbors, of how many processes sit in each local state when the
-// transition fires in that context. Identical rows are deduplicated.
-// Returns the rows, the variable count, and the state code per variable.
-func (a *analysis) potentialRows(ctx context.Context, rec []core.LocalTransition) ([][]int64, int, []int, error) {
+// transition fires in that context. Rows are sparse, sorted by variable.
+// Identical rows are deduplicated; a row counts as identical only if it was
+// also built at the same variable-space width. Generation stops as soon as
+// more than limit distinct rows exist or their tableau would pass
+// maxTableauCells. Returns the rows, the variable count, and the state code
+// per variable.
+func (a *analysis) potentialRows(ctx context.Context, rec []core.LocalTransition, limit int) ([][]lpTerm, int, []int, error) {
 	free := a.freeOffsets()
 	ctxVals := map[int]int{}
 	varOf := map[core.LocalState]int{}
@@ -156,8 +186,18 @@ func (a *analysis) potentialRows(ctx context.Context, rec []core.LocalTransition
 		states = append(states, int(s))
 		return id
 	}
+	add := func(row []lpTerm, id int, c int64) []lpTerm {
+		for k := range row {
+			if row[k].id == id {
+				row[k].coef += c
+				return row
+			}
+		}
+		return append(row, lpTerm{id, c})
+	}
 	seen := map[string]bool{}
-	var rows [][]int64
+	var rows [][]lpTerm
+	var key []byte
 	for _, tr := range rec {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, nil, err
@@ -167,30 +207,25 @@ func (a *analysis) potentialRows(ctx context.Context, rec []core.LocalTransition
 		dstOwn := a.p.Decode(tr.Dst)[a.own]
 		for code := 0; code < a.nCtx; code++ {
 			a.contextValues(code, free, ctxVals)
-			row := map[int]int64{}
+			var row []lpTerm
 			for o := a.lo; o <= a.hi; o++ {
-				before := varID(a.neighborState(srcView, srcOwn, ctxVals, o))
-				after := varID(a.neighborState(srcView, dstOwn, ctxVals, o))
-				row[before]--
-				row[after]++
+				row = add(row, varID(a.neighborState(srcView, srcOwn, ctxVals, o)), -1)
+				row = add(row, varID(a.neighborState(srcView, dstOwn, ctxVals, o)), 1)
 			}
-			dense := make([]int64, len(states))
-			for id, c := range row {
-				dense[id] = c
+			row = slices.DeleteFunc(row, func(t lpTerm) bool { return t.coef == 0 })
+			slices.SortFunc(row, func(x, y lpTerm) int { return x.id - y.id })
+			key = binary.AppendUvarint(key[:0], uint64(len(states)))
+			for _, t := range row {
+				key = binary.AppendUvarint(key, uint64(t.id))
+				key = binary.AppendVarint(key, t.coef)
 			}
-			key := fmt.Sprint(dense)
-			if !seen[key] {
-				seen[key] = true
-				rows = append(rows, dense)
+			if !seen[string(key)] {
+				seen[string(key)] = true
+				rows = append(rows, row)
+				if len(rows) > limit || tableauCells(len(rows), len(states)) > maxTableauCells {
+					return rows, len(states), states, nil
+				}
 			}
-		}
-	}
-	// Rows were built while the variable space grew; pad to the final width.
-	for i, r := range rows {
-		if len(r) < len(states) {
-			padded := make([]int64, len(states))
-			copy(padded, r)
-			rows[i] = padded
 		}
 	}
 	return rows, len(states), states, nil

@@ -7,10 +7,13 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"paramring/internal/core"
+	"paramring/internal/dsl"
 	"paramring/internal/invariant"
 	"paramring/internal/protocols"
+	"paramring/internal/protogen"
 )
 
 // TestInvariantLaneProvesMatchingA is the lane's reason to exist: matchingA
@@ -280,5 +283,43 @@ func TestInvariantLaneGuard(t *testing.T) {
 	}
 	if !strings.Contains(rep.Summary(), "invariant lane skipped") {
 		t.Fatalf("summary: %s", rep.Summary())
+	}
+}
+
+// TestInvariantLaneBoundsHostileLP: a window-5 spec over domain 4 has 1,024
+// local states and over 40,000 distinct termination-LP rows. Row generation
+// must stop once the tableau passes the cell cap, and the lane end
+// Inconclusive with a note, promptly, instead of running an LP it cannot
+// finish.
+func TestInvariantLaneBoundsHostileLP(t *testing.T) {
+	sw := &protogen.Sweep{Seed: 1, Families: []protogen.SweepFamily{{Name: "h", Domain: 4, Lo: -2, Hi: 2, Variants: 1}}}
+	specs, err := sw.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := dsl.Parse(specs[1].Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	start := time.Now()
+	rep, err := CheckCtx(ctx, p, Options{Invariant: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Invariant || rep.InvariantLivelock != Inconclusive {
+		t.Fatalf("lane: ran=%v livelock=%v skipped=%q", rep.Invariant, rep.InvariantLivelock, rep.InvariantSkipped)
+	}
+	notes := strings.Join(rep.InvariantDetail.Notes, "\n")
+	if !strings.Contains(notes, "exceeds the cell limit") {
+		t.Fatalf("notes do not name the tableau guard:\n%s", notes)
+	}
+	// Any 2,049 rows pass the 2^22-cell cap whatever the variable count.
+	if c := rep.InvariantDetail.Constraints; c > 2049 {
+		t.Fatalf("row generation built %d rows past the cell cap", c)
+	}
+	if d := time.Since(start); d > 20*time.Second {
+		t.Fatalf("hostile LP took %v to refuse", d)
 	}
 }
